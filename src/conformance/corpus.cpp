@@ -1,9 +1,12 @@
 #include "conformance/corpus.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <string_view>
 
 #include "common/check.hpp"
 #include "isa/assembler.hpp"
@@ -45,6 +48,21 @@ Variant parse_variant(const std::string& s) {
   TCFPN_FAULT("corpus: unknown variant '", s, "'");
 }
 
+/// The decimal number that `s` starts with, in [0, max]; it must end at a
+/// space or at the end of `s`. Faults (SimError) otherwise.
+std::uint64_t parse_number(std::string_view s, const std::string& what,
+                           std::uint64_t max) {
+  std::uint64_t v = 0;
+  const auto r = std::from_chars(s.data(), s.data() + s.size(), v);
+  const bool ends = r.ptr == s.data() + s.size() || *r.ptr == ' ';
+  const std::string_view token = s.substr(0, s.find(' '));
+  TCFPN_CHECK(r.ec != std::errc::invalid_argument && ends, "corpus: ", what,
+              " needs a non-negative integer, got '", token, "'");
+  TCFPN_CHECK(r.ec == std::errc{} && v <= max, "corpus: ", what,
+              " out of range (max ", max, "), got '", token, "'");
+  return v;
+}
+
 LaneSpec parse_lane(std::string tok) {
   LaneSpec lane;
   if (auto slash = tok.find('/'); slash != std::string::npos) {
@@ -55,20 +73,23 @@ LaneSpec parse_lane(std::string tok) {
     tok.resize(slash);
   }
   if (auto colon = tok.find(':'); colon != std::string::npos) {
-    lane.balanced_bound =
-        static_cast<std::uint32_t>(std::stoul(tok.substr(colon + 1)));
+    lane.balanced_bound = static_cast<std::uint32_t>(
+        parse_number(tok.substr(colon + 1), "lane bound",
+                     std::numeric_limits<std::uint32_t>::max()));
     tok.resize(colon);
   }
   lane.variant = parse_variant(tok);
   return lane;
 }
 
-/// Value of "key=<digits>" inside a directive payload.
-std::uint64_t field(const std::string& s, const std::string& key) {
+/// Value of "key=<digits>" inside a directive payload, at most `max`.
+std::uint64_t field(const std::string& s, const std::string& key,
+                    std::uint64_t max) {
   const std::string needle = key + "=";
   const auto at = s.find(needle);
   TCFPN_CHECK(at != std::string::npos, "corpus: missing field '", key, "'");
-  return std::stoull(s.substr(at + needle.size()));
+  return parse_number(std::string_view(s).substr(at + needle.size()),
+                      "field '" + key + "'", max);
 }
 
 }  // namespace
@@ -113,9 +134,11 @@ DiffCase parse_case(const std::string& text) {
       c.policy = parse_policy(body.substr(8));
     } else if (body.rfind("boot: ", 0) == 0) {
       const std::string payload = body.substr(6);
-      c.boot_thickness = static_cast<Word>(field(payload, "thickness"));
-      c.boot_flows = static_cast<std::uint32_t>(field(payload, "flows"));
-      c.esm_boot = field(payload, "esm") != 0;
+      c.boot_thickness = static_cast<Word>(
+          field(payload, "thickness", std::numeric_limits<Word>::max()));
+      c.boot_flows = static_cast<std::uint32_t>(
+          field(payload, "flows", std::numeric_limits<std::uint32_t>::max()));
+      c.esm_boot = field(payload, "esm", 1) != 0;
     } else if (body.rfind("expect: ", 0) == 0) {
       c.expect_error = body.substr(8) == "error";
     } else if (body.rfind("local: ", 0) == 0) {

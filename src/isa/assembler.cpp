@@ -231,13 +231,16 @@ class Pass {
 
   static std::optional<std::uint8_t> parse_register(const std::string& s) {
     if (s.size() < 2 || (s[0] != 'r' && s[0] != 'R')) return std::nullopt;
+    // Digits only, accumulated with an early exit so no register number is
+    // ever too long to parse.
+    unsigned n = 0;
     for (std::size_t i = 1; i < s.size(); ++i) {
       if (!std::isdigit(static_cast<unsigned char>(s[i]))) {
         return std::nullopt;
       }
+      n = n * 10 + static_cast<unsigned>(s[i] - '0');
+      if (n >= kNumRegisters) return std::nullopt;
     }
-    const int n = std::stoi(s.substr(1));
-    if (n < 0 || n >= static_cast<int>(kNumRegisters)) return std::nullopt;
     return static_cast<std::uint8_t>(n);
   }
 

@@ -1,6 +1,7 @@
 #include "lang/lexer.hpp"
 
 #include <cctype>
+#include <charconv>
 
 #include "common/check.hpp"
 
@@ -88,22 +89,34 @@ std::vector<Token> lex(const std::string& src) {
       continue;
     }
     if (std::isdigit(static_cast<unsigned char>(c))) {
+      // A literal must fit a Word (0 .. 2^63-1), the range the assembler's
+      // literals accept too; anything larger is rejected, never wrapped.
+      std::size_t begin = i;
       std::size_t end = i;
-      Word v = 0;
+      int base = 10;
       if (c == '0' && i + 1 < src.size() &&
           (src[i + 1] == 'x' || src[i + 1] == 'X')) {
-        end = i + 2;
+        base = 16;
+        begin = end = i + 2;
         while (end < src.size() &&
                std::isxdigit(static_cast<unsigned char>(src[end]))) {
           ++end;
         }
-        v = static_cast<Word>(std::stoll(src.substr(i, end - i), nullptr, 16));
       } else {
         while (end < src.size() &&
                std::isdigit(static_cast<unsigned char>(src[end]))) {
           ++end;
         }
-        v = static_cast<Word>(std::stoll(src.substr(i, end - i)));
+      }
+      if (begin == end) {
+        TCFPN_FAULT("lex error at line ", line, ": 0x literal has no digits");
+      }
+      Word v = 0;
+      const auto r =
+          std::from_chars(src.data() + begin, src.data() + end, v, base);
+      if (r.ec == std::errc::result_out_of_range) {
+        TCFPN_FAULT("lex error at line ", line,
+                    ": integer literal out of range");
       }
       push(Tok::kNumber, {}, v);
       i = end;

@@ -42,19 +42,13 @@ const char* to_string(DebugEventKind k) {
     case DebugEventKind::kRetry: return "retry";
     case DebugEventKind::kRollback: return "rollback";
     case DebugEventKind::kGroupRetired: return "group_retired";
-    case DebugEventKind::kShardFault: return "shard_fault";
-    case DebugEventKind::kShardRestart: return "shard_restart";
-    case DebugEventKind::kShardRetired: return "shard_retired";
   }
   return "?";
 }
 
 void Machine::emit(GroupCtx& ctx, DebugEventKind kind, const TcfDescriptor& f,
                    Word a, Word b) {
-  // Sharded stepping captures events unconditionally: the replica executing
-  // this group is in general not the one with the journaling observer, so
-  // the events must travel in the batch either way.
-  if (observer_ == nullptr && !shard_mode_) return;
+  if (observer_ == nullptr) return;
   ctx.events.push_back(DebugEvent{kind, stats_.steps, f.id, f.home, a, b});
 }
 

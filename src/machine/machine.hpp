@@ -84,7 +84,6 @@ struct RunResult {
 
 class Machine;
 struct MachineState;
-struct ShardGroupBatch;
 
 /// Step-granular events for the flight-recorder layer (src/debug). Only
 /// emitted while an observer is attached, so the hot path stays free of
@@ -107,11 +106,6 @@ enum class DebugEventKind : std::uint8_t {
   kRetry,             ///< a = retry attempt, b = backoff cycles charged
   kRollback,          ///< a = steps lost, b = checkpoint step restored
   kGroupRetired,      ///< a = remapped thickness, b = flows rehomed
-  // Sharded-execution supervision events (src/shard, DESIGN.md §14).
-  // Appended so recorded tapes from earlier versions keep their encodings.
-  kShardFault,        ///< a = shard id, b = failure class (shard::Failure)
-  kShardRestart,      ///< a = shard id, b = checkpoint step restored into
-  kShardRetired,      ///< a = shard id, b = groups retired with it
 };
 
 const char* to_string(DebugEventKind k);
@@ -295,49 +289,6 @@ class Machine {
   /// scheduler divides by per-group throughput.
   Word resident_thickness(GroupId g) const;
 
-  // ----- sharded stepping (src/shard, DESIGN.md §14) -----
-  //
-  // Multi-process execution keeps a full deterministic machine replica in
-  // every process; only the per-group phase is partitioned. Each replica
-  // executes the groups it *owns*, exports one ShardGroupBatch per owned
-  // group (the sealed GroupCtx plus the post-phase flow states and
-  // local-memory deltas), installs every other group's batch, and then runs
-  // the identical barrier merge — so all replicas hold bit-identical state
-  // at every step boundary, and memory/PRINT/metrics match --shards 1.
-  //
-  // Step protocol (all replicas in lockstep):
-  //   if (!shard_begin_step()) -> run over (replicated decision)
-  //   for each owned g: batch = shard_extract(g)   // exchange batches
-  //   for each non-owned g: shard_install(batch_g)
-  //   shard_finish_step()                          // merge + cost + commit
-  //
-  // shard_finish_step throws SimError exactly where a single-process step()
-  // would (lowest faulting group wins); the supervisor commits first and
-  // only releases batches to workers on success, so workers never execute a
-  // faulting merge. Defined in shard_step.cpp.
-
-  /// Enters (or with an empty vector leaves) sharded stepping: `owned[g]`
-  /// != 0 marks groups this replica executes. Requires a step-synchronous
-  /// variant. Also forces debug-event capture into the group contexts even
-  /// without an observer — the owning replica may not be the one journaling.
-  void set_shard_mode(std::vector<std::uint8_t> owned);
-  bool shard_mode() const { return shard_mode_; }
-  /// Promotes overflow, resets every group context and executes the owned
-  /// groups' share of the step. Returns false (and executes nothing) when no
-  /// flow anywhere is ready — the replicated end-of-run decision.
-  bool shard_begin_step();
-  /// Exports the sealed effect batch of owned group `g` (legal after
-  /// shard_begin_step returned true, before shard_finish_step).
-  ShardGroupBatch shard_extract(GroupId g) const;
-  /// Installs a batch received for a non-owned group: materialises the
-  /// group context, overwrites the group's flow states with the owner's
-  /// post-phase images and replays its local-memory delta.
-  void shard_install(const ShardGroupBatch& b);
-  /// Barrier half of the sharded step: merges every group context in group
-  /// order, computes the variant slot term and commits the step — the exact
-  /// tail of step_synchronous().
-  void shard_finish_step();
-
  private:
   struct PendingPrefix {
     FlowId flow;
@@ -454,8 +405,7 @@ class Machine {
   // step-synchronous execution
   bool step_synchronous();
   /// The variant slot term over the merged per-group work (the max over
-  /// alive groups of the heterogeneous-clock ceiling division). Shared by
-  /// step_synchronous and shard_finish_step so the cost model cannot drift.
+  /// alive groups of the heterogeneous-clock ceiling division).
   Cycle synchronous_slot_term() const;
   /// Runs one group's share of the current step into step_ctx_[g].
   void execute_group(GroupId g, Cycle step_base);
@@ -542,11 +492,6 @@ class Machine {
   std::vector<std::pair<GroupId, std::uint32_t>> step_refs_;  ///< (src, module)
 
   std::vector<GroupCtx> step_ctx_;  ///< one effect buffer per group
-  bool shard_mode_ = false;         ///< sharded stepping active
-  std::vector<std::uint8_t> shard_owned_;  ///< groups this replica executes
-  /// Per-step local-memory write journals, one per owned group, captured
-  /// during shard_begin_step and shipped in the group's batch.
-  std::vector<std::vector<std::pair<Addr, Word>>> shard_local_writes_;
   std::unique_ptr<common::ThreadPool> pool_;  ///< nullptr => sequential
 
   /// dist_cache_[g][m] = topology distance from group g to module-owner

@@ -45,7 +45,7 @@ std::uint64_t config_fingerprint(const MachineConfig& cfg) {
   fp.mix(static_cast<std::uint64_t>(cfg.operand_storage));
   fp.mix(cfg.register_spill_penalty);
   fp.mix(cfg.functional_units);
-  // host_threads, shards, merge_skip, record_trace, sample_every,
+  // host_threads, merge_skip, record_trace, sample_every,
   // profile_host, profile: observation/engine knobs, not semantics —
   // excluded so checkpoints move across them.
   //
@@ -81,13 +81,15 @@ std::uint64_t program_fingerprint(const isa::Program& program) {
   return fp.h;
 }
 
-FlowState capture_flow_state(const TcfDescriptor& f, bool require_boundary) {
-  if (require_boundary) {
-    TCFPN_CHECK(f.step_writes.empty(),
-                "flow ", f.id,
-                " has uncommitted step writes: checkpoint requires a step "
-                "boundary");
-  }
+namespace {
+
+// Flattens one flow descriptor into a FlowState. The store-forwarding buffer
+// must be empty: checkpoints are taken at step boundaries only.
+FlowState capture_flow_state(const TcfDescriptor& f) {
+  TCFPN_CHECK(f.step_writes.empty(),
+              "flow ", f.id,
+              " has uncommitted step writes: checkpoint requires a step "
+              "boundary");
   FlowState fs;
   fs.id = f.id;
   fs.parent = f.parent;
@@ -108,6 +110,7 @@ FlowState capture_flow_state(const TcfDescriptor& f, bool require_boundary) {
   return fs;
 }
 
+// Installs a FlowState into an existing descriptor (checkpoint restore).
 void install_flow_state(TcfDescriptor& f, const FlowState& fs) {
   f.id = fs.id;
   f.parent = fs.parent;
@@ -128,6 +131,8 @@ void install_flow_state(TcfDescriptor& f, const FlowState& fs) {
   f.evicted_once = fs.evicted_once;
 }
 
+}  // namespace
+
 MachineState Machine::save_state() const {
   MachineState s;
   s.config_fingerprint = config_fingerprint(cfg_);
@@ -136,7 +141,7 @@ MachineState Machine::save_state() const {
 
   s.flows.reserve(flows_.size());
   for (const auto& fp : flows_) {
-    s.flows.push_back(capture_flow_state(*fp, /*require_boundary=*/true));
+    s.flows.push_back(capture_flow_state(*fp));
   }
 
   s.groups.reserve(groups_.size());

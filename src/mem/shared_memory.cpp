@@ -103,36 +103,6 @@ void MemoryPort::seal() {
   sealed_ = true;
 }
 
-MemoryPort::Image MemoryPort::save_image() const {
-  Image img;
-  img.writes = writes_;
-  img.multis = multis_;
-  img.reads = reads_;
-  img.mod_reads = mod_reads_;
-  img.mod_writes = mod_writes_;
-  img.mod_multis = mod_multis_;
-  img.n_reads = n_reads_;
-  img.prefixes = prefixes_;
-  img.sealed = sealed_;
-  return img;
-}
-
-void MemoryPort::load_image(const Image& img) {
-  TCFPN_CHECK(shm_ != nullptr, "port image loaded before attach()");
-  TCFPN_CHECK(img.mod_reads.size() == mod_reads_.size(),
-              "port image module count mismatch: ", img.mod_reads.size(),
-              " into ", mod_reads_.size());
-  writes_ = img.writes;
-  multis_ = img.multis;
-  reads_ = img.reads;
-  mod_reads_ = img.mod_reads;
-  mod_writes_ = img.mod_writes;
-  mod_multis_ = img.mod_multis;
-  n_reads_ = img.n_reads;
-  prefixes_ = static_cast<std::size_t>(img.prefixes);
-  sealed_ = img.sealed;
-}
-
 void MemoryPort::clear() {
   writes_.clear();
   multis_.clear();

@@ -69,6 +69,34 @@ TEST(Corpus, RoundTripsThroughSerializer) {
   }
 }
 
+// Malformed numbers in corpus headers are diagnosed as SimError, never
+// thrown as std::invalid_argument or silently truncated.
+TEST(Corpus, RejectsMalformedNumbers) {
+  const auto files = corpus_files(TCFPN_CORPUS_DIR);
+  ASSERT_FALSE(files.empty());
+  DiffCase c = load_case(files.front());
+  c.lanes = {LaneSpec{machine::Variant::kBalanced, 8, false}};
+  const std::string good = serialize_case(c);
+  EXPECT_NO_THROW((void)parse_case(good));
+  auto with = [&](const std::string& from, const std::string& to) {
+    std::string text = good;
+    const auto at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos) text.replace(at, from.size(), to);
+    return text;
+  };
+  const std::string thickness =
+      "thickness=" + std::to_string(c.boot_thickness);
+  EXPECT_THROW((void)parse_case(with(thickness, "thickness=x")), SimError);
+  EXPECT_THROW((void)parse_case(with(thickness, "thickness=3x")), SimError);
+  EXPECT_THROW(
+      (void)parse_case(with(thickness, "thickness=99999999999999999999")),
+      SimError);
+  EXPECT_THROW((void)parse_case(with("balanced:8", "balanced:99999999999")),
+               SimError);
+  EXPECT_THROW((void)parse_case(with("balanced:8", "balanced:")), SimError);
+}
+
 // ----- generator -----------------------------------------------------------
 
 TEST(Generator, SameSeedSameProgram) {

@@ -167,7 +167,9 @@ INSTANTIATE_TEST_SUITE_P(
         BadSource{"unbalanced_bracket", "LD r1, [r2"},
         BadSource{"bad_equ", ".equ 9bad, 1"},
         BadSource{"imm_where_reg", "LD 5, [r1]"},
-        BadSource{"empty_operand", "ADD r1, , r2"}),
+        BadSource{"empty_operand", "ADD r1, , r2"},
+        BadSource{"huge_register", "main: TID r99999999999"},
+        BadSource{"huge_literal", "LDI r1, 99999999999999999999"}),
     [](const auto& inf) { return std::string(inf.param.name); });
 
 TEST(Disassembler, RoundTripThroughAssembler) {

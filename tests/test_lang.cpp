@@ -68,6 +68,11 @@ TEST(Lexer, CommentsAndHex) {
 TEST(Lexer, RejectsBadInput) {
   EXPECT_THROW(lex("a $ b"), SimError);
   EXPECT_THROW(lex("/* never closed"), SimError);
+  // Literals must fit a Word; the largest one that does still lexes.
+  EXPECT_THROW(lex("x = 99999999999999999999;"), SimError);
+  EXPECT_THROW(lex("x = 0xFFFFFFFFFFFFFFFF;"), SimError);
+  EXPECT_THROW(lex("x = 0x;"), SimError);
+  EXPECT_NO_THROW(lex("x = 9223372036854775807 + 0x7FFFFFFFFFFFFFFF;"));
 }
 
 // ---- parser ----

@@ -356,9 +356,8 @@ TEST(Resil, MemFailDegradeRetiresGroupAndBlocksAccess) {
 }
 
 // ---- Machine::retire_group edge cases ----
-// The degrade building block itself, exercised directly: the shard
-// supervisor (DESIGN.md §14) leans on exactly these properties when it
-// retires a dead shard's groups.
+// The degrade building block itself, exercised directly: the degrade
+// recovery mode leans on exactly these properties when it retires a group.
 
 // Retiring the highest-numbered group must work like any other: the
 // least-loaded-survivor rehoming rule has no "next group" to fall off the
@@ -381,7 +380,7 @@ TEST(RetireGroup, HighestNumberedGroupRetiresAndRunCompletes) {
 }
 
 // Two groups dying "at the same step" are retired in ascending order (the
-// supervisor sorts), and the result is identical no matter which order the
+// caller sorts), and the result is identical no matter which order the
 // deaths were detected in: both orders rehome onto the same survivors.
 TEST(RetireGroup, TwoGroupsSameStepRetireDeterministically) {
   auto run_with_order = [](GroupId first, GroupId second) {
