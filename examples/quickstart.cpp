@@ -1,57 +1,70 @@
 // Quickstart: the extended PRAM-NUMA model in five minutes.
 //
-// Shows the two ways to use tcfpn:
-//   1. the TCF runtime (tcf::Runtime) — write thick-control-flow programs
-//      as C++ lambdas and get PRAM-exact results plus machine-cost
-//      estimates;
-//   2. the machine simulator (machine::Machine) — run real ISA programs
-//      (hand-written assembly or builder-generated) cycle-by-cycle on any
-//      of the paper's six execution variants.
+// Shows the two ways to program tcfpn, both run cycle-by-cycle by the one
+// machine simulator (machine::Machine) on any of the paper's six execution
+// variants:
+//   1. the TCF language (lang::compile_source) — Section 4's notation,
+//      `#n; c. = a. + b.;`, compiled to the machine's ISA;
+//   2. assembly (isa::assemble, or tcf::AsmBuilder from C++) — the ISA
+//      the compiler targets, written by hand.
 //
 // Build & run:  ./example_quickstart
 #include <cstdio>
 #include <numeric>
+#include <string>
+#include <vector>
 
 #include "isa/assembler.hpp"
+#include "lang/codegen.hpp"
 #include "machine/machine.hpp"
-#include "tcf/runtime.hpp"
 
 using namespace tcfpn;
 
 int main() {
-  // ---------------------------------------------------------------- 1 ----
-  std::printf("== 1. TCF runtime: #n; c. = a. + b.; ==\n");
   machine::MachineConfig cfg;
   cfg.groups = 4;           // P processor groups
   cfg.slots_per_group = 16; // T_p TCF buffer slots per group
 
-  tcf::Runtime rt(cfg);
+  // ---------------------------------------------------------------- 1 ----
+  std::printf("== 1. TCF language: #n; c. = a. + b.; ==\n");
   const std::size_t n = 1000;
+  const std::string ns = std::to_string(n);
+  const lang::Compiled vecadd = lang::compile_source(
+      "array a[" + ns + "]; array b[" + ns + "]; array c[" + ns + "];\n"
+      "#" + ns + ";     // the thickness statement: n implicit threads\n"
+      "c. = a. + b.;    // ONE thick instruction, no loop\n");
+
   std::vector<Word> av(n), bv(n);
   std::iota(av.begin(), av.end(), 0);
   std::iota(bv.begin(), bv.end(), 1);
-  const tcf::Buffer a = rt.array(av);
-  const tcf::Buffer b = rt.array(bv);
-  const tcf::Buffer c = rt.array(n);
+  machine::Machine lm(cfg);
+  lm.load(vecadd.program);
+  for (std::size_t i = 0; i < n; ++i) {
+    lm.shared().poke(vecadd.buffer("a").at(i), av[i]);
+    lm.shared().poke(vecadd.buffer("b").at(i), bv[i]);
+  }
+  lm.boot(1);
+  const auto lrun = lm.run();
 
-  const auto stats = rt.run([&](tcf::Flow& f) {
-    f.thick(n);  // the `#n;` thickness statement
-    f.apply([&](tcf::Lane& l) {  // one thick instruction, n lanes
-      l.write(c, l.id(), l.read(a, l.id()) + l.read(b, l.id()));
-    });
-  });
-
-  const auto out = rt.fetch(c);
+  // Self-check against the sequential loop the thick statement replaces.
+  bool vec_ok = lrun.completed;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (lm.shared().peek(vecadd.buffer("c").at(i)) != av[i] + bv[i]) {
+      vec_ok = false;
+    }
+  }
   std::printf("c[0]=%lld  c[999]=%lld  (expect 1 and 1999)\n",
-              static_cast<long long>(out[0]),
-              static_cast<long long>(out[n - 1]));
-  std::printf("statements=%llu  lane-ops=%llu  makespan=%llu cycles\n\n",
-              static_cast<unsigned long long>(stats.statements),
-              static_cast<unsigned long long>(stats.operations),
-              static_cast<unsigned long long>(stats.makespan));
+              static_cast<long long>(lm.shared().peek(vecadd.buffer("c").at(0))),
+              static_cast<long long>(
+                  lm.shared().peek(vecadd.buffer("c").at(n - 1))));
+  std::printf("steps=%llu  lane-ops=%llu  cycles=%llu  fetches=%llu\n\n",
+              static_cast<unsigned long long>(lrun.steps),
+              static_cast<unsigned long long>(lm.stats().operations),
+              static_cast<unsigned long long>(lrun.cycles),
+              static_cast<unsigned long long>(lm.stats().instruction_fetches));
 
   // ---------------------------------------------------------------- 2 ----
-  std::printf("== 2. machine simulator: assembly on the TCF machine ==\n");
+  std::printf("== 2. assembly on the TCF machine ==\n");
   const auto program = isa::assemble(R"(
       ; sum the squares of 0..15 into shared cell 0 with one thick
       ; multioperation — no loop, no reduction tree.
@@ -74,5 +87,5 @@ int main() {
               static_cast<unsigned long long>(m.stats().instruction_fetches));
   std::printf("(note: 5 fetches for 16-wide execution — one per thick "
               "instruction)\n");
-  return m.shared().peek(0) == 1240 && out[n - 1] == 1999 ? 0 : 1;
+  return vec_ok && run.completed && m.shared().peek(0) == 1240 ? 0 : 1;
 }

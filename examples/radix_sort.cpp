@@ -1,91 +1,91 @@
-// LSD radix sort on the TCF runtime — the full multiprefix toolkit in one
-// realistic kernel: per pass, a combining histogram of the current digit,
-// an exclusive-offset multiprefix, and a stable multiprefix scatter, each
-// a single thick statement of thickness n. log_b(maxkey) passes, zero
-// loops over the data inside a pass.
+// LSD radix sort in the TCF language — multiprefix doing the work of every
+// loop over the data. Each pass sorts by one key bit with a stable split:
+// one thick statement flags the lanes whose bit is 0, one ordered
+// multiprefix gives every lane the number of 0-keys before it (and the
+// pass's 0-count in a cell), and one scatter of thickness n moves each key
+// to its slot — 0-keys first, in lane order, then 1-keys, in lane order.
+// Multiprefix ordering is lane ordering, which is what keeps every pass
+// stable and so makes the whole sort correct.
 //
 // Build & run:  ./example_radix_sort [n]
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
+#include <vector>
 
 #include "common/rng.hpp"
-#include "tcf/runtime.hpp"
+#include "lang/codegen.hpp"
+#include "machine/machine.hpp"
 
 using namespace tcfpn;
 
+namespace {
+
+constexpr Word kKeyBits = 16;
+
+// The sort for n keys (array sizes are compile-time constants in the
+// language, so the source is generated per n).
+std::string radix_sort_source(std::size_t n) {
+  const std::string ns = std::to_string(n);
+  return "array keys[" + ns + "];\n"
+         "array tmp[" + ns + "];\n"
+         "array zero[" + ns + "];   // 1 where this pass's bit is 0\n"
+         "array zpos[" + ns + "];   // 0-keys before each lane\n"
+         "cell  nz;                 // 0-keys in this pass\n"
+         "var   b;\n"
+         "#" + ns + ";\n"
+         "for (b = 0; b < " + std::to_string(kKeyBits) + "; b += 1) {\n"
+         "  zero. = 1 - ((keys. >> b) & 1);\n"
+         "  #1: nz = 0;\n"
+         "  prefix(zero, MPADD, &nz, zpos);\n"
+         "  tmp.[zero. * zpos. + (1 - zero.) * (nz + id - zpos.)] = keys.;\n"
+         "  keys. = tmp.;\n"
+         "}\n";
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   const std::size_t n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 4000;
-  constexpr Word kBits = 4;              // digit width
-  constexpr Word kRadix = 1 << kBits;    // 16 buckets
-  constexpr Word kKeyBits = 16;
+  if (n == 0) {
+    std::fprintf(stderr, "usage: example_radix_sort [n >= 1]\n");
+    return 2;
+  }
 
   Rng rng(99);
   std::vector<Word> keys(n);
   for (auto& k : keys) k = static_cast<Word>(rng.below(1u << kKeyBits));
 
+  const lang::Compiled sort = lang::compile_source(radix_sort_source(n));
   machine::MachineConfig cfg;
   cfg.groups = 4;
   cfg.slots_per_group = 16;
   cfg.shared_words = 1u << 22;
-  tcf::Runtime rt(cfg);
+  machine::Machine m(cfg);
+  m.load(sort.program);
+  const tcf::Buffer& buf = sort.buffer("keys");
+  for (std::size_t i = 0; i < n; ++i) m.shared().poke(buf.at(i), keys[i]);
+  m.boot(1);
+  const auto run = m.run();
 
-  tcf::Buffer cur = rt.array(keys);
-  tcf::Buffer nxt = rt.array(n);
-  const tcf::Buffer hist = rt.array(kRadix);
-  const tcf::Buffer offs = rt.array(kRadix);
-  const tcf::Buffer total = rt.array(1);
-
-  const auto stats = rt.run([&](tcf::Flow& f) {
-    for (Word shift = 0; shift < kKeyBits; shift += kBits) {
-      auto digit = [&](tcf::Lane& l) {
-        return (l.read(cur, l.id()) >> shift) & (kRadix - 1);
-      };
-      // 1: clear histogram (thin statement over the buckets)
-      f.thick(kRadix);
-      f.apply([&](tcf::Lane& l) {
-        l.write(hist, l.id(), 0);
-        l.write(total, 0, 0);
-      });
-      // 2: combining digit histogram, one statement of thickness n
-      f.thick(n);
-      f.apply([&](tcf::Lane& l) {
-        l.multi_add(hist, static_cast<std::size_t>(digit(l)), 1);
-      });
-      // 3: exclusive bucket offsets via multiprefix over one cell
-      f.thick(kRadix);
-      f.apply([&](tcf::Lane& l) {
-        l.write(offs, l.id(),
-                l.prefix_add(total, 0, l.read(hist, l.id())));
-      });
-      // 4: stable scatter — lanes claim slots in lane order (multiprefix
-      //    ordering == lane ordering, which keeps the sort stable)
-      f.thick(n);
-      f.apply([&](tcf::Lane& l) {
-        const Word slot =
-            l.prefix_add(offs, static_cast<std::size_t>(digit(l)), 1);
-        l.write(nxt, static_cast<std::size_t>(slot), l.read(cur, l.id()));
-      });
-      std::swap(cur, nxt);
-    }
-  });
-
-  auto got = rt.fetch(cur);
+  std::vector<Word> got(n);
+  for (std::size_t i = 0; i < n; ++i) got[i] = m.shared().peek(buf.at(i));
   auto want = keys;
   std::sort(want.begin(), want.end());
-  const bool ok = got == want;
+  const bool ok = run.completed && got == want;
 
-  std::printf("radix sort of %zu %lld-bit keys, %lld passes of %lld-bit "
-              "digits\n",
-              n, static_cast<long long>(kKeyBits),
-              static_cast<long long>(kKeyBits / kBits),
-              static_cast<long long>(kBits));
-  std::printf("thick statements %llu, lane ops %llu, makespan %llu cycles\n",
-              static_cast<unsigned long long>(stats.statements),
-              static_cast<unsigned long long>(stats.operations),
-              static_cast<unsigned long long>(stats.makespan));
+  std::printf("radix sort of %zu %lld-bit keys, %lld one-bit passes\n", n,
+              static_cast<long long>(kKeyBits),
+              static_cast<long long>(kKeyBits));
+  std::printf("machine: %llu steps, %llu cycles, %llu instruction fetches, "
+              "%llu lane ops\n",
+              static_cast<unsigned long long>(run.steps),
+              static_cast<unsigned long long>(run.cycles),
+              static_cast<unsigned long long>(m.stats().instruction_fetches),
+              static_cast<unsigned long long>(m.stats().operations));
   std::printf("sorted correctly: %s\n", ok ? "yes" : "NO");
-  std::printf("(4 thick statements per pass — histogram, offsets, scatter —\n"
-              " replace every loop of a thread-model radix sort)\n");
+  std::printf("(a flag, a multiprefix and a scatter per pass replace every "
+              "loop of a\n thread-model radix sort)\n");
   return ok ? 0 : 1;
 }

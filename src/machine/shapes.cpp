@@ -15,6 +15,7 @@ namespace {
 // Hard bounds on what a shape may ask for: large enough for every preset
 // and any interesting fuzzer draw, small enough that a typo'd spec fails
 // loudly instead of allocating gigabytes of slot state.
+constexpr std::uint32_t kMaxGroups = 4096;  // the --groups bound
 constexpr std::uint32_t kMaxGroupSlots = 4096;
 constexpr std::uint32_t kMaxClock = 64;
 constexpr std::uint32_t kMaxFill = 256;
@@ -56,6 +57,11 @@ void parse_term(const std::string& term, std::vector<GroupSpec>& out) {
   }
   const std::uint32_t count = parse_u32(term.substr(0, star), "group count");
   if (count == 0) throw SimError("shape: zero group count in '" + term + "'");
+  // Checked before the specs are allocated: one per group.
+  if (count > kMaxGroups - out.size()) {
+    throw SimError("shape: more than " + std::to_string(kMaxGroups) +
+                   " groups");
+  }
   GroupSpec spec;
   for (const std::string& kv : split(term.substr(star + 1), ',')) {
     const auto eq = kv.find('=');
@@ -76,7 +82,13 @@ void parse_term(const std::string& term, std::vector<GroupSpec>& out) {
         spec.clock_den = parse_u32(val.substr(slash + 1), "clock denominator");
       }
     } else if (key == "fill") {
+      // Checked here, not only in validate_shape: the largest u32 is the
+      // kInheritFill sentinel, which validation must let through.
       spec.pipeline_fill = parse_u32(val, "fill");
+      if (spec.pipeline_fill > kMaxFill) {
+        throw SimError("shape: pipeline fill " + val + " out of range (max " +
+                       std::to_string(kMaxFill) + ")");
+      }
     } else if (key == "dist") {
       spec.numa_row.clear();
       for (const std::string& d : split(val, ':')) {

@@ -1,4 +1,6 @@
-// Shared-memory buffer handles for the TCF runtime.
+// Shared-memory buffer handles: where a compiled TCF program's arrays and
+// cells live in the machine's simulated shared memory (lang::Compiled maps
+// each declared name to one).
 #pragma once
 
 #include <cstddef>
@@ -18,31 +20,6 @@ struct Buffer {
     TCFPN_CHECK(i < size, "buffer index ", i, " out of range ", size);
     return base + i;
   }
-  bool valid() const { return base != kNullAddr; }
-};
-
-/// Bump allocator over the simulated shared address space.
-class BumpAllocator {
- public:
-  explicit BumpAllocator(std::size_t capacity_words, Addr start = 0)
-      : next_(start), end_(start + capacity_words) {}
-
-  Buffer alloc(std::size_t words) {
-    TCFPN_CHECK(words > 0, "allocating an empty buffer");
-    if (next_ + words > end_) {
-      TCFPN_FAULT("simulated shared memory exhausted: need ", words,
-                  " words, have ", end_ - next_);
-    }
-    Buffer b{next_, words};
-    next_ += words;
-    return b;
-  }
-
-  Addr watermark() const { return next_; }
-
- private:
-  Addr next_;
-  Addr end_;
 };
 
 }  // namespace tcfpn::tcf

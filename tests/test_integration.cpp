@@ -1,6 +1,6 @@
 // Cross-layer integration & property tests:
-//  - the same computation through the TCF language, the EDSL runtime and
-//    hand-built ISA kernels must agree, across variants and topologies;
+//  - the same computation through the TCF language and hand-built ISA
+//    kernels must agree, across variants and topologies;
 //  - randomized workloads (seeded) agree with sequential references;
 //  - determinism: identical configs give identical cycle counts.
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@
 #include "machine/machine.hpp"
 #include "tcf/builder.hpp"
 #include "tcf/kernels.hpp"
-#include "tcf/runtime.hpp"
 
 namespace tcfpn {
 namespace {
@@ -29,11 +28,11 @@ machine::MachineConfig make_cfg(std::uint32_t groups,
   return cfg;
 }
 
-// ---- randomized vecadd through three layers ----
+// ---- randomized vecadd through two layers ----
 
 class RandomVecAdd : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(RandomVecAdd, LanguageEdslAndKernelAgree) {
+TEST_P(RandomVecAdd, LanguageAndKernelAgree) {
   Rng rng(GetParam());
   const Word n = 1 + static_cast<Word>(rng.below(200));
   std::vector<Word> av(n), bv(n), want(n);
@@ -57,19 +56,7 @@ TEST_P(RandomVecAdd, LanguageEdslAndKernelAgree) {
       ASSERT_EQ(m.shared().peek(5000 + i), want[i]) << "kernel layer, " << i;
     }
   }
-  // Layer 2: the EDSL runtime.
-  {
-    tcf::Runtime rt(make_cfg(4, net::TopologyKind::kMesh2D));
-    const auto a = rt.array(av), b = rt.array(bv), c = rt.array(n);
-    rt.run([&](tcf::Flow& f) {
-      f.thick(n);
-      f.apply([&](tcf::Lane& l) {
-        l.write(c, l.id(), l.read(a, l.id()) + l.read(b, l.id()));
-      });
-    });
-    EXPECT_EQ(rt.fetch(c), want) << "EDSL layer";
-  }
-  // Layer 3: the TCF language (source generated for this n).
+  // Layer 2: the TCF language (source generated for this n).
   {
     const std::string src = "array a[" + std::to_string(n) + "];" +
                             "array b[" + std::to_string(n) + "];" +
@@ -188,7 +175,7 @@ INSTANTIATE_TEST_SUITE_P(
       return s;
     });
 
-// ---- EDSL histogram equals sequential, across CRCW policies ----
+// ---- language histogram equals sequential, across CRCW policies ----
 
 TEST(IntegrationHistogram, MultiopHistogramMatchesSequential) {
   Rng rng(123);
@@ -198,28 +185,46 @@ TEST(IntegrationHistogram, MultiopHistogramMatchesSequential) {
   std::vector<Word> want(buckets, 0);
   for (Word x : xs) ++want[static_cast<std::size_t>(x / 10)];
 
-  tcf::Runtime rt(make_cfg(4, net::TopologyKind::kMesh2D));
-  const auto data = rt.array(xs);
-  const auto hist = rt.array(buckets);
-  rt.run([&](tcf::Flow& f) {
-    f.thick(n);
-    f.apply([&](tcf::Lane& l) {
-      l.multi_add(hist, static_cast<std::size_t>(l.read(data, l.id()) / 10),
-                  1);
-    });
-  });
-  EXPECT_EQ(rt.fetch(hist), want);
+  // One combining multioperation of thickness n: every same-bucket
+  // contribution merges in the active memory, so no policy sees a
+  // conflicting write.
+  const auto compiled = lang::compile_source(
+      "array data[" + std::to_string(n) + "];" +
+      "array hist[" + std::to_string(buckets) + "];\n" +
+      "#" + std::to_string(n) + ";\n" +
+      "multi(hist.[data. / 10], MPADD, 1);");
+  for (auto policy : {mem::CrcwPolicy::kErew, mem::CrcwPolicy::kCrew,
+                      mem::CrcwPolicy::kCommon, mem::CrcwPolicy::kArbitrary,
+                      mem::CrcwPolicy::kPriority}) {
+    auto cfg = make_cfg(4, net::TopologyKind::kMesh2D);
+    cfg.crcw = policy;
+    machine::Machine m(cfg);
+    m.load(compiled.program);
+    for (std::size_t i = 0; i < n; ++i) {
+      m.shared().poke(compiled.buffer("data").at(i), xs[i]);
+    }
+    m.boot(1);
+    ASSERT_TRUE(m.run().completed) << mem::to_string(policy);
+    std::vector<Word> got(buckets);
+    for (std::size_t k = 0; k < buckets; ++k) {
+      got[k] = m.shared().peek(compiled.buffer("hist").at(k));
+    }
+    EXPECT_EQ(got, want) << mem::to_string(policy);
+  }
 }
 
-// ---- language program equals EDSL program on a dependent workload ----
+// ---- language dependent loop equals a sequential prefix sum ----
 
-TEST(IntegrationScan, LanguageMatchesEdsl) {
+TEST(IntegrationScan, LanguageMatchesPartialSum) {
   const Word n = 32;
   Rng rng(5);
   std::vector<Word> xs(n);
   for (auto& x : xs) x = rng.range(1, 9);
+  std::vector<Word> want(n);
+  std::partial_sum(xs.begin(), xs.end(), want.begin());
 
-  // Language version.
+  // The Section 4 dependent loop; `guard` is the zero region the
+  // out-of-range reads s.[id - i] land in.
   std::string src = "array guard[" + std::to_string(n) + "];" +
                     "array s[" + std::to_string(n) + "]; var i;\n" +
                     "#" + std::to_string(n) + ";\n" +
@@ -231,26 +236,11 @@ TEST(IntegrationScan, LanguageMatchesEdsl) {
   for (Word i = 0; i < n; ++i) m.shared().poke(compiled.buffer("s").at(i), xs[i]);
   m.boot(1);
   ASSERT_TRUE(m.run().completed);
-
-  // EDSL version.
-  tcf::Runtime rt(make_cfg(4, net::TopologyKind::kMesh2D));
-  const auto buf = rt.array(xs);
-  rt.run([&](tcf::Flow& f) {
-    f.thick(n);
-    for (std::size_t i = 1; i < static_cast<std::size_t>(n); i <<= 1) {
-      f.apply([&](tcf::Lane& l) {
-        const Word left = l.id() >= i ? l.read(buf, l.id() - i) : 0;
-        l.write(buf, l.id(), l.read(buf, l.id()) + left);
-      });
-    }
-  });
-  const auto edsl = rt.fetch(buf);
   for (Word i = 0; i < n; ++i) {
-    EXPECT_EQ(m.shared().peek(compiled.buffer("s").at(i)), edsl[i])
+    EXPECT_EQ(m.shared().peek(compiled.buffer("s").at(i)), want[i])
         << "element " << i;
   }
 }
-
 // ---- random-program fuzz: interpreter parity across variants ----
 //
 // The synchronous stepper (exec_data_lane) and the XMT lane runner

@@ -6,6 +6,7 @@
 #include "common/check.hpp"
 #include "isa/assembler.hpp"
 #include "machine/machine.hpp"
+#include "machine/shapes.hpp"
 #include "tcf/kernels.hpp"
 
 namespace tcfpn::machine {
@@ -446,6 +447,28 @@ TEST(MachineConfigChecks, BootValidation) {
   EXPECT_THROW(m.boot(0), SimError);
   EXPECT_THROW(m.boot_at(5, 1, 0), SimError);
   EXPECT_THROW(m.boot_at(0, 1, 99), SimError);
+}
+
+TEST(Shapes, RejectsMalformedSpecs) {
+  const char* bad[] = {
+      "4*fill=4294967295",  // the inherit-fill sentinel, not a fill depth
+      "4*fill=257",         // one past the deepest pipeline
+      "0*slots=1",          // zero groups
+      "4294967296*slots=1", // group count overflows 32 bits
+      "4097*slots=1",       // more groups than --groups accepts
+      "4000*slots=1+97*slots=2",  // ... summed over the terms
+      "4*clock=1/0",        // zero clock denominator
+      "4*slots=",           // empty value
+      "4*speed=2",          // unknown key
+      "4*dist=1:2:3",       // NUMA row shorter than the group count
+  };
+  for (const char* spec : bad) {
+    MachineConfig cfg = small_cfg();
+    EXPECT_THROW(apply_shape(cfg, spec), SimError) << spec;
+  }
+  MachineConfig cfg = small_cfg();
+  apply_shape(cfg, "4*fill=256");  // the deepest legal fill is accepted
+  EXPECT_EQ(cfg.group_specs.at(0).pipeline_fill, 256u);
 }
 
 }  // namespace

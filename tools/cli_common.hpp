@@ -45,11 +45,16 @@ struct Options {
   std::string recover = "rollback";  ///< rollback | degrade | off
   std::string stream;  ///< tcfpn-stream-v1 destination: file, "-", unix:PATH
   std::uint64_t stream_every = 64;  ///< stream cadence in machine steps
-
+  /// --help was given: parse_args printed the usage to stdout and returned
+  /// false, and the tool exits 0 instead of the usage-error 2.
+  bool help = false;
 };
 
-inline void usage(const char* tool, const char* what) {
-  std::printf(
+/// Prints the option list to `out`: stdout for --help, stderr on a usage
+/// error (stdout may be a --metrics-json=- or --profile=- document).
+inline void usage(const char* tool, const char* what, std::FILE* out) {
+  std::fprintf(
+      out,
       "usage: %s <file> [options]\n"
       "  runs a %s on the extended PRAM-NUMA machine simulator\n\n"
       "options:\n"
@@ -157,18 +162,20 @@ inline bool parse_uint_as(const std::string& v, const char* flag,
   return true;
 }
 
-/// Parses argv; returns false (after printing usage) on bad input.
+/// Parses argv; returns false (after printing usage) on bad input or
+/// --help — `opt->help` tells the two apart.
 inline bool parse_args(int argc, char** argv, const char* tool,
                        const char* what, Options* opt) {
   if (argc < 2) {
-    usage(tool, what);
+    usage(tool, what, stderr);
     return false;
   }
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     std::string v;
     if (arg == "--help" || arg == "-h") {
-      usage(tool, what);
+      usage(tool, what, stdout);
+      opt->help = true;
       return false;
     } else if (arg == "--trace") {
       opt->trace = true;
@@ -313,7 +320,7 @@ inline bool parse_args(int argc, char** argv, const char* tool,
       opt->recover = v;
     } else if (arg.rfind("--", 0) == 0) {
       std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
-      usage(tool, what);
+      usage(tool, what, stderr);
       return false;
     } else {
       opt->input = arg;

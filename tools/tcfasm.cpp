@@ -14,7 +14,7 @@ int main(int argc, char** argv) {
   using namespace tcfpn;
   cli::Options opt;
   if (!cli::parse_args(argc, argv, "tcfasm", "assembly program", &opt)) {
-    return 2;
+    return opt.help ? 0 : 2;
   }
   try {
     const auto program = isa::assemble(cli::read_file(opt.input));

@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
   cli::Options opt;
   if (!cli::parse_args(static_cast<int>(rest.size()), rest.data(), "tcfdbg",
                        "program under the time-travel debugger", &opt)) {
-    return 2;
+    return opt.help ? 0 : 2;
   }
   if (!opt.stream.empty()) {
     // Time travel rewinds the machine at the user's whim; a live stream's

@@ -32,14 +32,18 @@ struct FuzzOptions {
   std::uint64_t shape_seed = 0;  ///< 0 = no heterogeneous-shape lanes
   bool allow_errors = true;
   bool verbose = false;
+  bool help = false;        ///< --help: usage went to stdout, exit 0
   std::string save_dir;     ///< write minimized reproducers here
   std::string replay_path;  ///< corpus file or directory to replay
   std::string inject_bug;   ///< "common-crcw" | "prefix-order"
   DiffOptions diff;
 };
 
-void usage() {
-  std::printf(
+/// Prints the option list to `out`: stdout for --help, stderr on a usage
+/// error.
+void usage(std::FILE* out) {
+  std::fprintf(
+      out,
       "usage: tcffuzz [options]\n"
       "  differential conformance fuzzer: random TCF programs through the\n"
       "  sequential oracle and all applicable machine variants/frontends\n\n"
@@ -87,7 +91,8 @@ bool parse(int argc, char** argv, FuzzOptions* o) {
     }
     std::string v;
     if (arg == "--help" || arg == "-h") {
-      usage();
+      usage(stdout);
+      o->help = true;
       return false;
     } else if (arg == "-v") {
       o->verbose = true;
@@ -164,7 +169,7 @@ bool parse(int argc, char** argv, FuzzOptions* o) {
       }
     } else {
       std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
-      usage();
+      usage(stderr);
       return false;
     }
   }
@@ -309,7 +314,7 @@ int fuzz(const FuzzOptions& o) {
 
 int main(int argc, char** argv) {
   FuzzOptions o;
-  if (!parse(argc, argv, &o)) return 2;
+  if (!parse(argc, argv, &o)) return o.help ? 0 : 2;
   if (!o.replay_path.empty()) return replay(o);
   return fuzz(o);
 }

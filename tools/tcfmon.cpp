@@ -52,8 +52,11 @@ struct MonOptions {
   std::uint64_t refresh_ms = 200;
 };
 
-void usage() {
-  std::printf(
+/// Prints the option list to `out`: stdout for --help, stderr on a usage
+/// error.
+void usage(std::FILE* out) {
+  std::fprintf(
+      out,
       "usage: tcfmon [options] <source>\n"
       "  attaches to a tcfpn-stream-v1 NDJSON telemetry stream\n\n"
       "source:\n"
@@ -315,8 +318,8 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") {
-      usage();
-      return 2;
+      usage(stdout);
+      return 0;
     } else if (arg == "--once") {
       opt.once = true;
     } else if (arg == "--json") {
@@ -326,7 +329,7 @@ int main(int argc, char** argv) {
       if (opt.refresh_ms == 0) opt.refresh_ms = 200;
     } else if (arg.rfind("--", 0) == 0) {
       std::fprintf(stderr, "tcfmon: unknown option '%s'\n", arg.c_str());
-      usage();
+      usage(stderr);
       return 2;
     } else {
       opt.source = arg;
@@ -334,7 +337,7 @@ int main(int argc, char** argv) {
   }
   if (opt.source.empty()) {
     std::fprintf(stderr, "tcfmon: no stream source given\n");
-    usage();
+    usage(stderr);
     return 2;
   }
 

@@ -50,8 +50,9 @@ struct ProfOptions {
   std::uint64_t live_every = 0;  ///< > 0: tcftop mode, repaint cadence
 };
 
-void prof_usage() {
-  std::printf(
+void prof_usage(std::FILE* out) {
+  std::fprintf(
+      out,
       "tcfprof-specific options (everything tcfrun accepts also applies):\n"
       "  --report=LIST     comma list of reports to render, in order:\n"
       "                    summary (default), hotspots, steps, folded,\n"
@@ -193,8 +194,9 @@ int main(int argc, char** argv) {
   cli::Options opt;
   if (!cli::parse_args(static_cast<int>(rest.size()), rest.data(), "tcfprof",
                        "program under the attribution profiler", &opt)) {
-    if (want_help) prof_usage();
-    return 2;
+    // `--bogus --help` stops at --bogus: the error path, so stderr.
+    if (want_help) prof_usage(opt.help ? stdout : stderr);
+    return opt.help ? 0 : 2;
   }
   opt.cfg.profile = true;  // the whole point of this tool
 

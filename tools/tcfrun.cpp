@@ -69,7 +69,7 @@ bool export_watchdog_post_mortem(const machine::Machine& m,
 int main(int argc, char** argv) {
   cli::Options opt;
   if (!cli::parse_args(argc, argv, "tcfrun", "TCF source program", &opt)) {
-    return 2;
+    return opt.help ? 0 : 2;
   }
   // The fault spec is user input: reject it as a usage error (exit 2), not a
   // simulated fault, before anything runs.
