@@ -17,11 +17,11 @@
 #include <thread>
 #include <vector>
 
-#include "bench_util.hpp"
 #include "common/table.hpp"
 #include "machine/machine.hpp"
 #include "obs/bus.hpp"
 #include "obs/stream_observer.hpp"
+#include "paper.hpp"
 #include "tcf/builder.hpp"
 
 using namespace tcfpn;
@@ -90,7 +90,7 @@ constexpr StepId kStreamEvery = 64;
 
 Sample run_once(std::uint32_t host_threads, const isa::Program& prog,
                 bool streamed = false, obs::BusStats* bus_stats = nullptr) {
-  auto cfg = bench::default_cfg(kGroups, 16);
+  auto cfg = paper::default_cfg(kGroups, 16);
   cfg.shared_words = 1u << 21;
   cfg.host_threads = host_threads;
   machine::Machine m(cfg);
@@ -140,9 +140,6 @@ Sample run_once(std::uint32_t host_threads, const isa::Program& prog,
       h *= 1099511628211ull;
     }
   }
-  if (host_threads == 1 && !streamed) {
-    bench::export_metrics_if_requested(m, run, "parallel_step");
-  }
   const std::uint32_t hc = std::max(std::thread::hardware_concurrency(), 1u);
   return Sample{host_threads, std::chrono::duration<double>(t1 - t0).count(),
                 m.stats(), h, m.metrics_snapshot(), hc, host_threads > hc};
@@ -151,12 +148,12 @@ Sample run_once(std::uint32_t host_threads, const isa::Program& prog,
 }  // namespace
 
 int main() {
-  bench::banner(
-      "HOST-PARALLEL STEPPING — wall-clock scaling, bit-identical results",
-      "per-group phase fans out over a worker pool; effects merge at the "
-      "step barrier in group order, so results never depend on N");
-  bench::note("hardware_concurrency = " +
-              std::to_string(std::thread::hardware_concurrency()));
+  std::printf(
+      "HOST-PARALLEL STEPPING — wall-clock scaling, bit-identical results\n"
+      "per-group phase fans out over a worker pool; effects merge at the\n"
+      "step barrier in group order, so results never depend on N\n"
+      "-- hardware_concurrency = %u\n",
+      std::thread::hardware_concurrency());
 
   const isa::Program prog = workload();
   std::vector<Sample> samples;
@@ -237,12 +234,12 @@ int main() {
   // the producer-side cost the ≤5% budget is about. Same policy as the
   // scaling rows above: report the number, flag it, never judge it.
   const bool stream_oversubscribed = std::thread::hardware_concurrency() < 2;
-  bench::note("streaming overhead (cadence " + std::to_string(kStreamEvery) +
-              ", best of 3): " + std::to_string(overhead * 100.0) + "% (" +
-              std::to_string(bus_stats.written) + " records written, " +
-              std::to_string(bus_stats.dropped_records) + " dropped" +
-              (stream_oversubscribed ? ", single-core host: not judged" : "") +
-              ")");
+  std::printf("-- streaming overhead (cadence %llu, best of 3): %f%% (%llu "
+              "records written, %llu dropped%s)\n",
+              static_cast<unsigned long long>(kStreamEvery), overhead * 100.0,
+              static_cast<unsigned long long>(bus_stats.written),
+              static_cast<unsigned long long>(bus_stats.dropped_records),
+              stream_oversubscribed ? ", single-core host: not judged" : "");
 
   std::FILE* f = std::fopen("BENCH_parallel_step.json", "w");
   if (!f) {
@@ -288,7 +285,7 @@ int main() {
                stream_oversubscribed ? "true" : "false");
   std::fprintf(f, "}\n");
   std::fclose(f);
-  bench::note("wrote BENCH_parallel_step.json");
+  std::printf("-- wrote BENCH_parallel_step.json\n");
   if (regression) {
     std::fprintf(stderr, "speedup regression on a non-oversubscribed row\n");
     return 1;

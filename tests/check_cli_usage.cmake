@@ -51,6 +51,14 @@ expect_usage_error("tcfdbg unknown flag" "${TOOLS}/tcfdbg" "${PROG}" "--bogus")
 expect_usage_error("tcffuzz unknown flag" "${TOOLS}/tcffuzz" "--bogus")
 expect_usage_error("tcfmon unknown flag" "${TOOLS}/tcfmon" "--bogus")
 expect_usage_error("tcfmon no source" "${TOOLS}/tcfmon")
+expect_usage_error("tcfmon non-numeric refresh"
+  "${TOOLS}/tcfmon" "--refresh=abc" "--once" "${PROG}")
+expect_usage_error("tcfmon zero refresh"
+  "${TOOLS}/tcfmon" "--refresh=0" "--once" "${PROG}")
+expect_usage_error("tcfmon overflowing refresh"
+  "${TOOLS}/tcfmon" "--refresh=99999999999999999999" "--once" "${PROG}")
+expect_usage_error("tcfpaper unknown flag" "${TOOLS}/tcfpaper" "--bogus")
+expect_usage_error("tcfpaper unknown artefact" "${TOOLS}/tcfpaper" "F5")
 
 expect_help("tcfrun --help" "${TOOLS}/tcfrun" "--help")
 expect_help("tcfasm --help" "${TOOLS}/tcfasm" "--help")
@@ -58,5 +66,6 @@ expect_help("tcfprof --help" "${TOOLS}/tcfprof" "--help")
 expect_help("tcfdbg --help" "${TOOLS}/tcfdbg" "--help")
 expect_help("tcffuzz --help" "${TOOLS}/tcffuzz" "--help")
 expect_help("tcfmon --help" "${TOOLS}/tcfmon" "--help")
+expect_help("tcfpaper --help" "${TOOLS}/tcfpaper" "--help")
 
 message(STATUS "check_cli_usage: all assertions passed")

@@ -124,7 +124,7 @@ TEST(IlpSweep, ResultsUnchangedByIssueWidth) {
 }
 
 TEST(Placement, AddressHashPlumbsThroughMachine) {
-  // The full behavioural sweep lives in bench_ablation_placement; here we
+  // The full behavioural sweep is `tcfpaper AB3`; here we
   // verify the SharedMemory hook is used by machine execution and results
   // are placement-independent.
   MachineConfig cfg;

@@ -1,14 +1,5 @@
 #!/usr/bin/env python3
-"""Compare a fresh bench run against the committed baseline.
-
-Handles two document kinds, keyed on the top-level shape:
-  * BENCH_parallel_step.json — the host-parallel stepping bench;
-  * BENCH_scenarios.json ("bench": "tcfpn-scenarios-v1") — the scenario
-    workload suite across heterogeneous machine shapes. Rows are keyed by
-    (scenario, shape, variant); the simulated cycle/step columns (and the
-    Table-1 term split) must match the committed baseline EXACTLY, every
-    row must report oracle_match and bit_identical, and the three
-    canonical shapes (uniform, fat-thin, gpu) must all be covered.
+"""Compare a fresh BENCH_parallel_step.json against the committed baseline.
 
 Usage:
     cp BENCH_parallel_step.json /tmp/committed.json   # bench overwrites cwd
@@ -71,69 +62,6 @@ def rows_by_threads(doc: dict, path: str) -> dict:
     return rows
 
 
-SCENARIO_SCHEMA = "tcfpn-scenarios-v1"
-SCENARIO_ROW_KEYS = ("scenario", "shape", "machine_shape", "variant",
-                     "total_slots", "simulated_cycles", "simulated_steps",
-                     "fill_cycles", "slot_cycles", "mem_cycles",
-                     "switch_cycles", "utilization", "wall_clock_s",
-                     "oracle_match", "bit_identical")
-SCENARIO_SHAPES = {"uniform", "fat-thin", "gpu"}
-# Semantics columns: deterministic simulation output, compared exactly.
-SCENARIO_EXACT = ("machine_shape", "total_slots", "simulated_cycles",
-                  "simulated_steps", "fill_cycles", "slot_cycles",
-                  "mem_cycles", "switch_cycles")
-
-
-def load_scenarios(path: str) -> dict:
-    try:
-        with open(path, encoding="utf-8") as f:
-            doc = json.load(f)
-    except (OSError, ValueError) as e:
-        fail(f"{path}: {e}")
-    rows = doc.get("rows")
-    if not isinstance(rows, list) or not rows:
-        fail(f"{path}: empty rows array")
-    table = {}
-    for row in rows:
-        for key in SCENARIO_ROW_KEYS:
-            if key not in row:
-                fail(f"{path}: row missing '{key}': {row}")
-        key = (row["scenario"], row["shape"], row["variant"])
-        if key in table:
-            fail(f"{path}: duplicate row {key}")
-        table[key] = row
-    shapes = {shape for _, shape, _ in table}
-    missing = SCENARIO_SHAPES - shapes
-    if missing:
-        fail(f"{path}: canonical shape(s) not covered: {sorted(missing)}")
-    return table
-
-
-def check_scenarios(committed_path: str, fresh_path: str) -> None:
-    committed = load_scenarios(committed_path)
-    fresh = load_scenarios(fresh_path)
-    if set(committed) != set(fresh):
-        gone = sorted(set(committed) - set(fresh))
-        new = sorted(set(fresh) - set(committed))
-        fail(f"row coverage changed: removed {gone}, added {new} — "
-             "re-baseline BENCH_scenarios.json deliberately if the suite "
-             "itself changed")
-    for key in sorted(fresh):
-        c, f = committed[key], fresh[key]
-        if not f["oracle_match"]:
-            fail(f"{key}: fresh run diverged from the sequential oracle")
-        if not f["bit_identical"]:
-            fail(f"{key}: fresh run was not bit-identical across host "
-                 "threads")
-        for col in SCENARIO_EXACT:
-            if c[col] != f[col]:
-                fail(f"{key}: {col} drifted: committed {c[col]} vs fresh "
-                     f"{f[col]} — the simulated schedule changed")
-    shapes = sorted({shape for _, shape, _ in fresh})
-    print(f"check_bench: scenarios OK ({len(fresh)} rows, "
-          f"shapes: {', '.join(shapes)})")
-
-
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("committed", help="the baseline BENCH_parallel_step.json")
@@ -151,16 +79,6 @@ def main() -> None:
                          "telemetry lane, as a fraction (default 0.05 = 5%%; "
                          "the bus promises near-zero producer-side cost)")
     args = ap.parse_args()
-
-    # Dispatch on the document kind: the scenario suite carries a schema tag.
-    try:
-        with open(args.fresh, encoding="utf-8") as f:
-            peek = json.load(f)
-    except (OSError, ValueError) as e:
-        fail(f"{args.fresh}: {e}")
-    if isinstance(peek, dict) and peek.get("bench") == SCENARIO_SCHEMA:
-        check_scenarios(args.committed, args.fresh)
-        return
 
     committed = load(args.committed)
     fresh = load(args.fresh)

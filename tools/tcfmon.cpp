@@ -36,6 +36,7 @@
 #include <thread>
 #include <vector>
 
+#include "cli_common.hpp"
 #include "common/table.hpp"
 #include "obs/njson.hpp"
 #include "obs/record.hpp"
@@ -68,7 +69,8 @@ void usage(std::FILE* out) {
       "  --once         read what is available, render once, exit\n"
       "  --json         print a machine-readable summary instead of the\n"
       "                 dashboard (CI mode; pairs well with --once)\n"
-      "  --refresh=MS   dashboard repaint interval (default 200)\n");
+      "  --refresh=MS   dashboard repaint interval, 1..3600000 (default "
+      "200)\n");
 }
 
 /// Everything the dashboard knows, folded from the lines seen so far.
@@ -325,8 +327,12 @@ int main(int argc, char** argv) {
     } else if (arg == "--json") {
       opt.json = true;
     } else if (arg.rfind("--refresh=", 0) == 0) {
-      opt.refresh_ms = std::strtoull(arg.c_str() + 10, nullptr, 10);
-      if (opt.refresh_ms == 0) opt.refresh_ms = 200;
+      // At most an hour: a bound std::chrono::milliseconds cannot overflow.
+      if (!cli::parse_uint(arg.substr(10), "refresh", 1, 3600000,
+                           &opt.refresh_ms)) {
+        usage(stderr);
+        return 2;
+      }
     } else if (arg.rfind("--", 0) == 0) {
       std::fprintf(stderr, "tcfmon: unknown option '%s'\n", arg.c_str());
       usage(stderr);
